@@ -6,7 +6,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"rlnoc/internal/core"
 	"rlnoc/internal/power"
 	"rlnoc/internal/stats"
 )
@@ -32,15 +34,24 @@ func suiteWorkers(cfg Config) int {
 }
 
 // RunSuite executes all four schemes over the given benchmarks (all nine
-// PARSEC-like workloads if benchmarks is empty). Runs are independent and
-// executed in parallel across schemes and benchmarks.
+// PARSEC-like workloads if benchmarks is empty).
 func RunSuite(cfg Config, benchmarks []string) (*Suite, error) {
+	return runSuite(cfg, benchmarks, Schemes())
+}
+
+// runSuite runs every scheme over every benchmark on a fixed pool of
+// suiteWorkers(cfg) goroutines. Each scheme pre-trains once, on its
+// first job; every job then measures its benchmark on a fork of that
+// state, byte-identical to a fresh Run (TestSuiteForkMatchesFresh).
+// Workers take jobs in list order, benchmark-major, so the first jobs
+// pre-train different schemes in parallel.
+func runSuite(cfg Config, benchmarks []string, schemes []Scheme) (*Suite, error) {
 	if len(benchmarks) == 0 {
 		benchmarks = Benchmarks()
 	}
-	s := &Suite{Benchmarks: benchmarks, Results: make(map[string]map[Scheme]Result)}
-	for _, b := range benchmarks {
-		s.Results[b] = make(map[Scheme]Result)
+	bases := make(map[Scheme]func() (*core.Pretrained, error), len(schemes))
+	for _, sc := range schemes {
+		bases[sc] = sync.OnceValues(func() (*core.Pretrained, error) { return core.NewPretrained(cfg, sc) })
 	}
 	type job struct {
 		bench  string
@@ -48,35 +59,41 @@ func RunSuite(cfg Config, benchmarks []string) (*Suite, error) {
 	}
 	var jobs []job
 	for _, b := range benchmarks {
-		for _, sc := range Schemes() {
+		for _, sc := range schemes {
 			jobs = append(jobs, job{b, sc})
 		}
 	}
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	sem := make(chan struct{}, suiteWorkers(cfg))
-	for _, j := range jobs {
+	results := make([]Result, len(jobs))
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < suiteWorkers(cfg); w++ {
 		wg.Add(1)
-		go func(j job) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := Run(cfg, j.scheme, j.bench)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s/%s: %w", j.bench, j.scheme, err)
-				return
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				base, err := bases[jobs[i].scheme]()
+				if err == nil {
+					results[i], err = base.RunBenchmark(jobs[i].bench)
+				}
+				errs[i] = err
 			}
-			s.Results[j.bench][j.scheme] = res
-		}(j)
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	s := &Suite{Benchmarks: benchmarks, Results: make(map[string]map[Scheme]Result)}
+	for _, b := range benchmarks {
+		s.Results[b] = make(map[Scheme]Result)
+	}
+	for i, j := range jobs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("%s/%s: %w", j.bench, j.scheme, errs[i])
+		}
+		s.Results[j.bench][j.scheme] = results[i]
 	}
 	return s, nil
 }

@@ -100,17 +100,12 @@ func SweepJobID(rate float64, scheme core.Scheme) string {
 
 // BuildLoadSweep builds the load-latency curve campaign: mean latency
 // versus injection rate under uniform traffic for each of the paper's
-// four schemes, full methodology (pre-train included). Snapshot-capable
-// schemes checkpoint every snapEvery cycles; the DT baseline (whose
-// controller has no snapshot support) always retries from scratch.
+// four schemes, full methodology (pre-train included). Every job
+// checkpoints every snapEvery cycles.
 func BuildLoadSweep(base config.Config, rates []float64, snapEvery int64) []Spec {
 	var specs []Spec
 	for _, rate := range rates {
 		for _, scheme := range core.Schemes() {
-			every := snapEvery
-			if !SnapshotCapable(string(scheme)) {
-				every = 0
-			}
 			specs = append(specs, Spec{
 				ID:       SweepJobID(rate, scheme),
 				Config:   base,
@@ -121,7 +116,7 @@ func BuildLoadSweep(base config.Config, rates []float64, snapEvery int64) []Spec
 					Pattern: "uniform", Rate: rate,
 					Cycles: int64(base.MaxCycles), Seed: base.Seed + 11,
 				},
-				SnapshotEvery: every,
+				SnapshotEvery: snapEvery,
 			})
 		}
 	}

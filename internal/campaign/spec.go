@@ -108,8 +108,7 @@ type Spec struct {
 
 	// SnapshotEvery checkpoints the run every N measured cycles into the
 	// job's directory; recovery resumes from the latest valid checkpoint.
-	// 0 disables — then every retry restarts from cycle 0 (required for
-	// schemes without snapshot support, i.e. the DT baseline).
+	// 0 disables — then every retry restarts from cycle 0.
 	SnapshotEvery int64 `json:"snapshot_every,omitempty"`
 	// Bisect replays a watchdog-terminated run from its latest
 	// checkpoint with flit-level event capture (the invariant-bisection
@@ -130,17 +129,7 @@ func (s Spec) Validate() error {
 	if err := s.Config.Validate(); err != nil {
 		return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
 	}
-	if s.SnapshotEvery > 0 && !SnapshotCapable(s.Scheme) {
-		return fmt.Errorf("campaign: spec %s: scheme %s has no snapshot support", s.ID, s.Scheme)
-	}
 	return nil
-}
-
-// SnapshotCapable reports whether a scheme's controller supports
-// checkpoint/restore. The DT baseline keeps an uncounted rand.Rand and
-// is excluded (see core.snapController); its jobs retry from scratch.
-func SnapshotCapable(scheme string) bool {
-	return scheme != string(core.SchemeDT)
 }
 
 // Job terminal outcomes. The first four are the chaos battery's

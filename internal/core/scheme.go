@@ -19,6 +19,7 @@ import (
 	"rlnoc/internal/dt"
 	"rlnoc/internal/network"
 	"rlnoc/internal/rl"
+	"rlnoc/internal/snap"
 )
 
 // Scheme names a fault-tolerant design under evaluation.
@@ -290,6 +291,7 @@ func (c *RLController) LoadPolicy(r io.Reader) error {
 type DTController struct {
 	collecting bool
 	rng        *rand.Rand
+	src        *snap.CountingSource // rng's source; checkpoints record its draw count
 	samples    []dt.Sample
 	prevFeat   [][]float64
 	policy     *dt.Policy
@@ -300,9 +302,11 @@ type DTController struct {
 
 // NewDTController builds a collecting controller for `routers` routers.
 func NewDTController(cfg config.Config, routers int) *DTController {
+	src := snap.NewCountingSource(cfg.Seed*31 + 700)
 	return &DTController{
 		collecting: true,
-		rng:        rand.New(rand.NewSource(cfg.Seed*31 + 700)),
+		rng:        rand.New(src),
+		src:        src,
 		prevFeat:   make([][]float64, routers),
 		opts:       dt.DefaultOptions(),
 	}
@@ -338,7 +342,9 @@ func (c *DTController) FinishTraining() error {
 	return nil
 }
 
-// Samples returns how many labeled examples were collected.
+// Samples returns how many labeled examples were collected. A controller
+// restored from a checkpoint taken after training reports 0: the
+// checkpoint keeps the trained tree, not its training set.
 func (c *DTController) Samples() int { return len(c.samples) }
 
 // Tree returns the trained tree (nil while collecting).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -274,7 +275,8 @@ func NewStaticSim(cfg config.Config, mode network.Mode) (*Sim, error) {
 func (s *Sim) Network() *network.Network { return s.net }
 
 // Close releases the network's step-worker goroutines (a no-op for
-// sequential simulations; a finalizer also covers forgotten calls).
+// sequential simulations). A Sim built with StepWorkers > 1 leaks its
+// idle workers if Close is never called.
 func (s *Sim) Close() { s.net.Close() }
 
 // Controller exposes the scheme's controller.
@@ -628,26 +630,76 @@ func RunTrace(cfg config.Config, scheme Scheme, events []traffic.Event, label st
 	if err != nil {
 		return Result{}, err
 	}
+	defer sim.Close()
 	if err := sim.Pretrain(); err != nil {
 		return Result{}, err
 	}
 	return sim.Measure(events, label)
 }
 
-// RunBenchmark synthesizes the named PARSEC-like benchmark's trace and
-// runs it under a scheme.
-func RunBenchmark(cfg config.Config, scheme Scheme, benchmark string) (Result, error) {
+// benchmarkTrace synthesizes the named PARSEC-like benchmark's test
+// trace for a config.
+func benchmarkTrace(cfg config.Config, benchmark string) ([]traffic.Event, error) {
 	b, err := traffic.BenchmarkByName(benchmark)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	topo, err := topologyOf(cfg)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	events, err := b.Trace(topo, int64(cfg.MaxCycles), cfg.FlitsPerPacket, cfg.Seed*31+1300)
+	return b.Trace(topo, int64(cfg.MaxCycles), cfg.FlitsPerPacket, cfg.Seed*31+1300)
+}
+
+// RunBenchmark synthesizes the named PARSEC-like benchmark's trace and
+// runs it under a scheme.
+func RunBenchmark(cfg config.Config, scheme Scheme, benchmark string) (Result, error) {
+	events, err := benchmarkTrace(cfg, benchmark)
 	if err != nil {
 		return Result{}, err
 	}
 	return RunTrace(cfg, scheme, events, benchmark)
+}
+
+// Pretrained is a scheme's simulation as Pretrain leaves it, held as
+// snapshot bytes (DESIGN.md §15). Pre-training depends only on the
+// config and the scheme, so every benchmark can start from one
+// Pretrained instead of repeating the phase. The bytes are only read, so
+// concurrent forks are safe.
+type Pretrained struct {
+	cfg   config.Config
+	state []byte
+}
+
+// NewPretrained pre-trains a fresh Sim for scheme and captures its state.
+func NewPretrained(cfg config.Config, scheme Scheme) (*Pretrained, error) {
+	sim, err := NewSim(cfg, scheme)
+	if err != nil {
+		return nil, err
+	}
+	defer sim.Close()
+	if err := sim.Pretrain(); err != nil {
+		return nil, err
+	}
+	state, err := sim.snapBytes()
+	if err != nil {
+		return nil, err
+	}
+	return &Pretrained{cfg: cfg, state: state}, nil
+}
+
+// RunBenchmark measures the named benchmark on a fork: a Sim restored
+// from the pretrained state. Its Result is byte-identical to
+// RunBenchmark's with the same config and scheme.
+func (p *Pretrained) RunBenchmark(benchmark string) (Result, error) {
+	events, err := benchmarkTrace(p.cfg, benchmark)
+	if err != nil {
+		return Result{}, err
+	}
+	sim, err := RestoreSim(bytes.NewReader(p.state))
+	if err != nil {
+		return Result{}, err
+	}
+	defer sim.Close()
+	return sim.Measure(events, benchmark)
 }

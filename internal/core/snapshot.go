@@ -9,6 +9,7 @@ package core
 // that wrote it.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 	"sort"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/dt"
 	"rlnoc/internal/eventlog"
 	"rlnoc/internal/network"
 	"rlnoc/internal/rl"
@@ -92,6 +94,19 @@ func (s *Sim) SnapState(w *snap.Writer) error {
 	return s.net.SnapState(w)
 }
 
+// snapBytes serializes the simulation into memory.
+func (s *Sim) snapBytes() ([]byte, error) {
+	var buf bytes.Buffer
+	w := snap.NewWriter(&buf)
+	if err := s.SnapState(w); err != nil {
+		return nil, err
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 func snapMeasure(w *snap.Writer, ms *measureState) {
 	w.String(ms.label)
 	w.Len(len(ms.events))
@@ -165,15 +180,16 @@ func (s *Sim) restoreMeasure(r *snap.Reader) {
 
 // snapController dispatches on the concrete controller type. Static
 // controllers (crc, arq-ecc, pinned-mode ablations) are stateless — the
-// section tag alone keeps the stream positions aligned. The DT baseline
-// keeps an uncounted rand.Rand and is excluded from checkpointing (the
-// paper's resumable long runs are the learned schemes).
+// section tag alone keeps the stream positions aligned. Only the
+// per-port RL ablation controller is not checkpointable.
 func (s *Sim) snapController(w *snap.Writer) error {
 	switch c := s.ctrl.(type) {
 	case network.StaticController:
 		w.Section("SCTL")
 		return w.Err()
 	case *RLController:
+		return c.SnapState(w)
+	case *DTController:
 		return c.SnapState(w)
 	default:
 		return fmt.Errorf("core: snapshot unsupported for scheme %q (%T controller)", s.scheme, s.ctrl)
@@ -186,6 +202,8 @@ func (s *Sim) restoreController(r *snap.Reader) error {
 		r.Section("SCTL")
 		return r.Err()
 	case *RLController:
+		return c.SnapRestore(r)
+	case *DTController:
 		return c.SnapRestore(r)
 	default:
 		return fmt.Errorf("core: restore unsupported for scheme %q (%T controller)", s.scheme, s.ctrl)
@@ -311,6 +329,68 @@ func (c *RLController) SnapRestore(r *snap.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
+	}
+	return r.Err()
+}
+
+// SnapState serializes the DT controller: the phase flag, the sampler's
+// draw count, each router's pending feature vector and, while collecting,
+// the labeled samples — or, once trained, the frozen tree and its mode
+// thresholds — then the decision telemetry. A checkpoint therefore
+// resumes mid-pretrain as well as mid-measure.
+func (c *DTController) SnapState(w *snap.Writer) error {
+	w.Section("DTCT")
+	w.Bool(c.collecting)
+	c.src.Snap(w)
+	w.Len(len(c.prevFeat))
+	for _, x := range c.prevFeat {
+		w.F64s(x)
+	}
+	if c.collecting {
+		w.Len(len(c.samples))
+		for _, smp := range c.samples {
+			w.F64s(smp.X)
+			w.F64(smp.Y)
+		}
+	} else {
+		c.policy.Tree.Snap(w)
+		for _, th := range c.policy.Thresholds {
+			w.F64(th)
+		}
+	}
+	for _, v := range c.decideCount {
+		w.I64(v)
+	}
+	return w.Err()
+}
+
+// SnapRestore overwrites a freshly constructed DT controller.
+func (c *DTController) SnapRestore(r *snap.Reader) error {
+	r.Section("DTCT")
+	c.collecting = r.Bool()
+	c.src.Unsnap(r)
+	r.LenCheck(len(c.prevFeat))
+	for i := range c.prevFeat {
+		c.prevFeat[i] = r.F64s()
+	}
+	c.samples, c.policy = nil, nil
+	if c.collecting {
+		n := r.Len()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		c.samples = make([]dt.Sample, n)
+		for i := range c.samples {
+			c.samples[i] = dt.Sample{X: r.F64s(), Y: r.F64()}
+		}
+	} else if tree := dt.UnsnapTree(r); tree != nil {
+		c.policy = &dt.Policy{Tree: tree}
+		for i := range c.policy.Thresholds {
+			c.policy.Thresholds[i] = r.F64()
+		}
+	}
+	for i := range c.decideCount {
+		c.decideCount[i] = r.I64()
 	}
 	return r.Err()
 }

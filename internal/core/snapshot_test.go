@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
-	"rlnoc/internal/snap"
 	"rlnoc/internal/traffic"
 )
 
@@ -137,9 +136,9 @@ func resumeFrom(t *testing.T, path string, workers int) string {
 }
 
 // TestSnapshotRestoreEquivalence is the acceptance matrix: mesh and
-// torus, rl and qroute, snapshot written at workers W and restored at a
-// different count, including a restore point between the two scheduled
-// hard-fault kills.
+// torus, rl, qroute and the trained dt, snapshot written at workers W
+// and restored at a different count, including a restore point between
+// the two scheduled hard-fault kills.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	type combo struct {
 		topo         string
@@ -151,6 +150,8 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		{"mesh", SchemeQRoute, 2, 1},
 		{"torus", SchemeRL, 4, 2},
 		{"torus", SchemeQRoute, 1, 2},
+		{"mesh", SchemeDT, 1, 2},
+		{"torus", SchemeDT, 2, 1},
 	}
 	if testing.Short() {
 		combos = combos[:1]
@@ -160,6 +161,14 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%s-w%dto%d", c.topo, c.scheme, c.runW, c.resumW), func(t *testing.T) {
 			t.Parallel()
 			cfg := snapConfig(c.topo)
+			kill1, kill2 := int64(2600), int64(4200)
+			if c.scheme == SchemeDT {
+				// The tree trains on whole control epochs (1000 cycles),
+				// so dt needs a longer pretrain; the kills move with it.
+				cfg.PretrainCycles = 3000
+				kill1, kill2 = 4800, 6400
+				cfg.HardFaults = fmt.Sprintf("%d:l5.east,%d:r10", kill1, kill2)
+			}
 			events := snapTrace(t, cfg)
 
 			want := runFull(t, cfg, c.scheme, events, 1, "", 0)
@@ -171,15 +180,15 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			}
 
 			paths, cycles := snapshotCycles(t, dir)
-			// One restore point between the two kills (2600, 4200) —
-			// dead link applied, router kill still pending — and one
-			// after both, plus the earliest checkpoint.
+			// One restore point between the two kills — dead link
+			// applied, router kill still pending — and one after both,
+			// plus the earliest checkpoint.
 			var midKill, afterKill string
 			for i, cyc := range cycles {
-				if cyc > 2600 && cyc < 4200 && midKill == "" {
+				if cyc > kill1 && cyc < kill2 && midKill == "" {
 					midKill = paths[i]
 				}
-				if cyc > 4200 && afterKill == "" {
+				if cyc > kill2 && afterKill == "" {
 					afterKill = paths[i]
 				}
 			}
@@ -197,34 +206,92 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotIdempotent re-snapshots a restored sim without stepping it
-// and requires the bytes to match the original checkpoint — the
-// serializer covers exactly the state the restorer reproduces.
-func TestSnapshotIdempotent(t *testing.T) {
+// TestSnapshotDTWhileCollecting checkpoints the dt controller while it
+// is still collecting training samples — the state it has throughout
+// pre-training — by measuring without Pretrain. A run resumed from a
+// mid-run checkpoint must end in byte-identical state to the
+// uninterrupted run: same Result, same sampler position, same samples,
+// and the same tree once both finish training.
+func TestSnapshotDTWhileCollecting(t *testing.T) {
 	cfg := snapConfig("mesh")
 	events := snapTrace(t, cfg)
-	dir := t.TempDir()
-	runFull(t, cfg, SchemeQRoute, events, 2, dir, 700)
-	paths, _ := snapshotCycles(t, dir)
-	orig, err := os.ReadFile(paths[len(paths)/2])
-	if err != nil {
-		t.Fatal(err)
+	finalState := func(sim *Sim, res Result) (string, []byte) {
+		t.Helper()
+		fp := fingerprint(t, res, sim)
+		if err := sim.Controller().(*DTController).FinishTraining(); err != nil {
+			t.Fatal(err)
+		}
+		state, err := sim.snapBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp, state
 	}
-	sim, err := RestoreSim(bytes.NewReader(orig))
+
+	sim, err := NewSim(cfg, SchemeDT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	if err := sim.SnapState(w); err != nil {
+	dir := t.TempDir()
+	sim.SetSnapshotPolicy(dir, 500)
+	res, err := sim.Measure(events, "collect")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if !sim.Controller().(*DTController).collecting {
+		t.Fatal("dt controller stopped collecting without Pretrain")
+	}
+	wantFP, wantState := finalState(sim, res)
+
+	paths, _ := snapshotCycles(t, dir)
+	restored, err := RestoreSimFile(paths[len(paths)/2])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(orig, buf.Bytes()) {
-		t.Fatalf("re-snapshot differs: %d vs %d bytes", len(orig), len(buf.Bytes()))
+	defer restored.Close()
+	res, err = restored.ResumeMeasure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotFP, gotState := finalState(restored, res)
+	if gotFP != wantFP {
+		t.Fatalf("resumed collecting run diverged:\n got %s\nwant %s", gotFP, wantFP)
+	}
+	if !bytes.Equal(gotState, wantState) {
+		t.Fatalf("resumed collecting run ends in a different state (%d vs %d bytes)", len(gotState), len(wantState))
+	}
+}
+
+// TestSnapshotIdempotent re-snapshots a restored sim without stepping it
+// and requires the bytes to match the original checkpoint — the
+// serializer covers exactly the state the restorer reproduces.
+func TestSnapshotIdempotent(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeQRoute, SchemeDT} {
+		cfg := snapConfig("mesh")
+		if scheme == SchemeDT {
+			cfg.PretrainCycles = 3000 // whole control epochs to train on
+		}
+		events := snapTrace(t, cfg)
+		dir := t.TempDir()
+		runFull(t, cfg, scheme, events, 2, dir, 700)
+		paths, _ := snapshotCycles(t, dir)
+		orig, err := os.ReadFile(paths[len(paths)/2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := RestoreSim(bytes.NewReader(orig))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := sim.snapBytes()
+		sim.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(orig, again) {
+			t.Fatalf("%s: re-snapshot differs: %d vs %d bytes", scheme, len(orig), len(again))
+		}
 	}
 }
 
@@ -279,16 +346,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer restored.Close()
-		var buf bytes.Buffer
-		w := snap.NewWriter(&buf)
-		if err := restored.SnapState(w); err != nil {
+		again, err := restored.snapBytes()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(orig, buf.Bytes()) {
-			t.Fatalf("round-trip not a fixpoint: %d vs %d bytes", len(orig), len(buf.Bytes()))
+		if !bytes.Equal(orig, again) {
+			t.Fatalf("round-trip not a fixpoint: %d vs %d bytes", len(orig), len(again))
 		}
 	})
 }

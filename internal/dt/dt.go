@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"rlnoc/internal/snap"
 )
 
 // Sample is one labeled training example: a feature vector and the
@@ -191,6 +193,66 @@ func depthOf(n *node) int {
 		return l + 1
 	}
 	return r + 1
+}
+
+// maxSnapDepth bounds the depth UnsnapTree accepts, so a corrupt stream
+// cannot drive its recursion arbitrarily deep.
+const maxSnapDepth = 64
+
+// Snap writes the tree for a checkpoint: its dimensions, then every node
+// in pre-order — a leaf as its value, an internal node as its split
+// followed by its left and right subtrees.
+func (t *Tree) Snap(w *snap.Writer) {
+	w.Int(t.features)
+	w.Int(t.depthLimit)
+	var walk func(n *node)
+	walk = func(n *node) {
+		w.Bool(n.leaf)
+		if n.leaf {
+			w.F64(n.value)
+			return
+		}
+		w.Int(n.feature)
+		w.F64(n.threshold)
+		walk(n.left)
+		walk(n.right)
+	}
+	walk(t.root)
+}
+
+// UnsnapTree reads a tree written by Snap. A malformed tree fails r.
+func UnsnapTree(r *snap.Reader) *Tree {
+	t := &Tree{features: r.Int(), depthLimit: r.Int()}
+	if r.Err() != nil {
+		return nil
+	}
+	if t.features < 1 || t.depthLimit < 1 || t.depthLimit > maxSnapDepth {
+		r.Fail(fmt.Errorf("dt: snapshot tree has %d features, depth limit %d", t.features, t.depthLimit))
+		return nil
+	}
+	var read func(depth int) *node
+	read = func(depth int) *node {
+		if r.Err() != nil {
+			return nil
+		}
+		t.nodes++
+		if r.Bool() {
+			return &node{leaf: true, value: r.F64()}
+		}
+		n := &node{feature: r.Int(), threshold: r.F64()}
+		if depth >= t.depthLimit || n.feature < 0 || n.feature >= t.features {
+			r.Fail(fmt.Errorf("dt: snapshot tree split at depth %d on feature %d is out of range", depth, n.feature))
+			return nil
+		}
+		n.left = read(depth + 1)
+		n.right = read(depth + 1)
+		return n
+	}
+	t.root = read(0)
+	if r.Err() != nil {
+		return nil
+	}
+	return t
 }
 
 // Policy maps a predicted error rate to one of the four operation modes

@@ -26,7 +26,6 @@ package network
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"rlnoc/internal/config"
@@ -300,8 +299,8 @@ const (
 
 // workerHub owns the persistent worker goroutines. fn is set around each
 // dispatch round and cleared while idle so an idle hub holds no path
-// back to the Network, letting the finalizer fire if the owner forgets
-// Close.
+// back to the Network: a Network whose owner forgets Close is still
+// collected, and only the idle workers leak.
 type workerHub struct {
 	start []chan int
 	wg    sync.WaitGroup
@@ -334,14 +333,13 @@ func (n *Network) ensureHub() {
 		go hubWorker(hub, w)
 	}
 	n.hub = hub
-	runtime.SetFinalizer(n, finalizeNetwork)
 }
 
-func finalizeNetwork(n *Network) { n.Close() }
-
 // Close stops the worker goroutines. Safe to call multiple times and on
-// networks that never stepped in parallel; a finalizer also runs it, so
-// leaking a Network cannot leak its workers.
+// networks that never stepped in parallel. There is deliberately no
+// finalizer behind it: each NI points back at its Network, and Go never
+// collects a cycle that holds a finalized object, so a finalizer would
+// pin every parallel Network in the heap without ever running.
 func (n *Network) Close() {
 	if n.hub != nil {
 		close(n.hub.stop)

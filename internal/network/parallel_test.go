@@ -1,6 +1,11 @@
 package network
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"rlnoc/internal/config"
+)
 
 // TestShardRangePartition is the ownership property behind every
 // parallel-path correctness argument: for any fabric size and worker
@@ -77,5 +82,52 @@ func TestResolveStepWorkersCoarsens(t *testing.T) {
 			t.Errorf("resolveStepWorkers(%d, nodes=%d, env=%q) = %d, want %d",
 				tc.explicit, tc.nodes, tc.env, got, tc.want)
 		}
+	}
+}
+
+// TestClosedParallelNetworksAreCollected builds, steps and closes a run
+// of two-worker 16x16 networks and requires the live heap after a
+// collection not to grow with their number. Each NI points back at its
+// Network, so anything that pins a closed Network (a finalizer on it,
+// a worker still holding it) keeps the whole fabric in the heap.
+func TestClosedParallelNetworksAreCollected(t *testing.T) {
+	cfg := config.Small()
+	cfg.Width, cfg.Height = 16, 16
+	cfg.StepWorkers = 2
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	build := func() *Network {
+		n := newNet(t, cfg, Mode1, true)
+		if _, err := n.NewDataPacket(0, cfg.Routers()-1, 4, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			if err := n.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n.hub == nil {
+			t.Fatal("network never stepped in parallel")
+		}
+		return n
+	}
+	build().Close() // fill process-wide memos before the baseline
+	base := liveHeap()
+	held := build()
+	size := liveHeap() - base
+	held.Close()
+	runtime.KeepAlive(held)
+
+	base = liveHeap()
+	const count = 10
+	for i := 0; i < count; i++ {
+		build().Close()
+	}
+	if grew := int64(liveHeap()) - int64(base); grew > int64(size)/2 {
+		t.Fatalf("live heap grew %d B over %d closed networks of %d B each", grew, count, size)
 	}
 }

@@ -147,11 +147,21 @@ type Agent struct {
 // NewAgent builds an agent with Q-values initialized to zero (per the
 // paper's initialization) and a deterministic exploration stream.
 func NewAgent(cfg config.RLConfig, seed int64) *Agent {
+	a := newLearner(cfg, seed)
+	a.q = make([]float64, NumStates*NumActions)
+	a.visits = make([]uint32, NumStates*NumActions)
+	a.rsum = make([]float64, NumStates*NumActions)
+	if cfg.DoubleQ {
+		a.q2 = make([]float64, NumStates*NumActions)
+	}
+	return a
+}
+
+// newLearner builds an agent without tables: its exploration stream and
+// learning parameters only.
+func newLearner(cfg config.RLConfig, seed int64) *Agent {
 	src := snap.NewCountingSource(seed)
-	a := &Agent{
-		q:       make([]float64, NumStates*NumActions),
-		visits:  make([]uint32, NumStates*NumActions),
-		rsum:    make([]float64, NumStates*NumActions),
+	return &Agent{
 		alpha:   cfg.Alpha,
 		decay:   cfg.AlphaDecay,
 		gamma:   cfg.Gamma,
@@ -159,10 +169,6 @@ func NewAgent(cfg config.RLConfig, seed int64) *Agent {
 		rng:     rand.New(src),
 		src:     src,
 	}
-	if cfg.DoubleQ {
-		a.q2 = make([]float64, NumStates*NumActions)
-	}
-	return a
 }
 
 // NewSharedAgents builds n agents that share a single Q-table but keep
@@ -174,13 +180,13 @@ func NewAgent(cfg config.RLConfig, seed int64) *Agent {
 func NewSharedAgents(cfg config.RLConfig, n int, seed int64) []*Agent {
 	agents := make([]*Agent, n)
 	for i := range agents {
-		agents[i] = NewAgent(cfg, seed+int64(i)*7919)
-		if i > 0 {
-			agents[i].q = agents[0].q
-			agents[i].q2 = agents[0].q2
-			agents[i].visits = agents[0].visits
-			agents[i].rsum = agents[0].rsum
+		if i == 0 {
+			agents[i] = NewAgent(cfg, seed)
+			continue
 		}
+		a := newLearner(cfg, seed+int64(i)*7919)
+		a.q, a.q2, a.visits, a.rsum = agents[0].q, agents[0].q2, agents[0].visits, agents[0].rsum
+		agents[i] = a
 	}
 	return agents
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +339,26 @@ func BenchmarkQStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.Step(s, 0.5)
+	}
+}
+
+// TestSharedAgentsAllocateOneTable pins that n shared agents build one
+// set of tables, not n sets of which n-1 are thrown away: every NewSim
+// (and every restore of a snapshot) builds its agents this way.
+func TestSharedAgentsAllocateOneTable(t *testing.T) {
+	cfg := config.Default().RL
+	const n = 64
+	tableBytes := uint64(NumStates * NumActions * (8 + 4 + 8))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	agents := NewSharedAgents(cfg, n, 1)
+	runtime.ReadMemStats(&after)
+	for i, a := range agents {
+		if !a.SharesTableWith(agents[0]) {
+			t.Fatalf("agent %d has its own table", i)
+		}
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*tableBytes {
+		t.Fatalf("%d shared agents allocated %d B; one table set is %d B", n, got, tableBytes)
 	}
 }

@@ -56,8 +56,10 @@ const hotspotFraction = 0.3
 
 // destination computes the destination for src under the pattern; for
 // stochastic patterns it consumes the RNG. Returns ok=false if the pattern
-// maps src to itself (the caller skips the injection).
-func destination(m topology.Topology, p Pattern, src int, rng detrand.Source) (int, bool) {
+// maps src to itself (the caller skips the injection). rng is a concrete
+// *detrand.Stream, not a detrand.Source: through the interface the
+// caller's per-(source, cycle) stream would escape to the heap.
+func destination(m topology.Topology, p Pattern, src int, rng *detrand.Stream) (int, bool) {
 	n := m.Nodes()
 	w, h := m.Dims()
 	switch p {
@@ -290,7 +292,7 @@ func hotNodes(m topology.Topology) []int {
 	}
 }
 
-func (b Benchmark) pickDst(m topology.Topology, src int, hot []int, rng detrand.Source) int {
+func (b Benchmark) pickDst(m topology.Topology, src int, hot []int, rng *detrand.Stream) int {
 	r := rng.Float64()
 	switch {
 	case r < b.HotspotProb:

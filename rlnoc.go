@@ -209,6 +209,7 @@ func RunStaticMode(cfg Config, mode int, events []Event, label string) (Result, 
 	if err != nil {
 		return Result{}, err
 	}
+	defer sim.Close()
 	if err := sim.Pretrain(); err != nil {
 		return Result{}, err
 	}
