@@ -49,7 +49,7 @@ const benchRate = 0.01
 // active sets stay near-full, still below saturation.
 const benchLoadedRate = 0.05
 
-// benchLowRate drives the lowload/lowload-ff bracket: the bottom of the
+// benchLowRate drives the lowload scenario: the bottom of the
 // paper's injection sweep (one tenth of benchRate), where the fabric
 // repeatedly drains between bursts while still exercising the full RL
 // scheme on every packet.
@@ -75,16 +75,6 @@ type SchemeBench struct {
 	// StepWorkers CPUs. On a starved host the ratio measures scheduling,
 	// not the code, so the gate prints a skip instead.
 	MinSpeedup float64 `json:"min_speedup,omitempty"`
-	// SpeedupVsPerCycle is cycles/s relative to the per-cycle referee of
-	// the same workload (idle-ff against idle, lowload-ff against
-	// lowload): the recorded fast-forward win.
-	SpeedupVsPerCycle float64 `json:"speedup_vs_percycle,omitempty"`
-	// MinCyclesPerSec is a hard absolute floor on CyclesPerSec, enforced
-	// by `-bench-gate speed|all`. It backstops the fast-forward
-	// scenarios: a regression that silently disables the jump drops them
-	// an order of magnitude below the floor, while the floor itself sits
-	// far enough under healthy numbers to tolerate slow CI hosts.
-	MinCyclesPerSec float64 `json:"min_cycles_per_sec,omitempty"`
 	// AllocCeiling is the scenario's absolute allocs/cycle budget,
 	// enforced by `-bench-gate allocs|all` in addition to the relative
 	// regression check. Zero means no absolute budget.
@@ -93,12 +83,12 @@ type SchemeBench struct {
 
 // BenchBaseline is the serialized baseline file.
 type BenchBaseline struct {
-	GeneratedAt    string        `json:"generated_at"`
-	GoVersion      string        `json:"go_version"`
-	Mesh           string        `json:"mesh"`
-	InjectionRate  float64       `json:"injection_rate"`
-	WarmupCycles   int64         `json:"warmup_cycles"`
-	MeasuredCycles int64         `json:"measured_cycles"`
+	GeneratedAt    string  `json:"generated_at"`
+	GoVersion      string  `json:"go_version"`
+	Mesh           string  `json:"mesh"`
+	InjectionRate  float64 `json:"injection_rate"`
+	WarmupCycles   int64   `json:"warmup_cycles"`
+	MeasuredCycles int64   `json:"measured_cycles"`
 	// HostCPUs records runtime.NumCPU() of the generating host, so a
 	// reader knows whether the recorded speedups had cores to run on.
 	HostCPUs int           `json:"host_cpus"`
@@ -127,16 +117,11 @@ type benchScenario struct {
 	// steady state over several times the packet latency, and measuring
 	// before that point reports pool growth as per-cycle allocation.
 	warmup int64
-	// fastForward lets the stepping loop use the network's event-horizon
-	// jump across quiescent spans (the -ff scenarios). The non-ff twin of
-	// the same workload is the per-cycle referee for speedup_vs_percycle.
-	fastForward bool
 
-	// minSpeedup, minCyclesPerSec and allocCeiling feed the hard gate
-	// columns of SchemeBench (see there).
-	minSpeedup      float64
-	minCyclesPerSec float64
-	allocCeiling    float64
+	// minSpeedup and allocCeiling feed the hard gate columns of
+	// SchemeBench (see there).
+	minSpeedup   float64
+	allocCeiling float64
 }
 
 // benchAllocCeiling is the absolute allocs/cycle budget on the loaded
@@ -146,8 +131,9 @@ type benchScenario struct {
 const benchAllocCeiling = 8
 
 // benchScenarios lists the full sweep: the four schemes at the baseline
-// rate, the idle and mode2-loaded brackets described above, plus a torus
-// run so the wraparound fabric's routing/VC path stays on the perf radar.
+// rate, the idle, lowload and mode2-loaded brackets described above, plus
+// a torus run so the wraparound fabric's routing/VC path stays on the
+// perf radar.
 func benchScenarios() []benchScenario {
 	var scs []benchScenario
 	for _, scheme := range core.Schemes() {
@@ -165,22 +151,7 @@ func benchScenarios() []benchScenario {
 		// budget so the walk stays allocation-light as state grows.
 		benchScenario{name: "snapshot", rate: benchRate, scheme: core.SchemeRL,
 			snapEvery: 1_000, allocCeiling: benchAllocCeiling},
-		// The fast-forward bracket: the same workloads with the
-		// event-horizon jump enabled. idle-ff skips everything except
-		// thermal-window boundaries; lowload-ff runs the full RL scheme at
-		// a rate sparse enough that the fabric drains between most
-		// packets. Each carries a hard absolute cycles/s floor and pulls
-		// in its per-cycle twin as the speedup_vs_percycle referee. The
-		// idle-ff floor sits above the per-cycle idle speed of the
-		// reference host, so a silently disabled jump fails it outright;
-		// the lowload-ff floor sits ~3x under the measured speed (and
-		// ~4x above the whole pre-fast-forward baseline family), absorbing
-		// host variance while still catching an order-of-magnitude loss.
-		benchScenario{name: "idle-ff", rate: 0, static: true, mode: network.Mode0,
-			fastForward: true, minCyclesPerSec: 30e6},
 		benchScenario{name: "lowload", rate: benchLowRate, scheme: core.SchemeRL},
-		benchScenario{name: "lowload-ff", rate: benchLowRate, scheme: core.SchemeRL,
-			fastForward: true, minCyclesPerSec: 250e3},
 	)
 	// Parallel-stepping sweeps: the same loaded Mode-2 workload on 16x16,
 	// 32x32 and 64x64 fabrics at several step-worker counts. Results are
@@ -249,13 +220,6 @@ func selectScenarios(filter []string) ([]benchScenario, error) {
 		sc := all[i]
 		if sc.stepWorkers > 1 {
 			want[fmt.Sprintf("par%d-w1", sc.size)] = true
-		}
-		// A fast-forward scenario pulls in its per-cycle twin: the
-		// speedup_vs_percycle column is meaningless without it.
-		if ref := strings.TrimSuffix(sc.name, "-ff"); sc.fastForward && ref != sc.name {
-			if _, ok := byName[ref]; ok {
-				want[ref] = true
-			}
 		}
 	}
 	var out []benchScenario
@@ -343,24 +307,6 @@ func prepareBench(cfg rlnoc.Config, sc benchScenario, cycles int64) (*benchRun, 
 
 func (r *benchRun) step(until int64) error {
 	for r.net.Cycle() < until {
-		// Event-horizon jump: on a quiescent fabric nothing changes until
-		// the next pending injection, internal boundary (the network
-		// clamps to those itself) or snapshot boundary, so skip straight
-		// to it. Capped at until-1 so the final iteration still steps
-		// normally and the loop exits at exactly `until`, like the
-		// per-cycle path.
-		if r.sc.fastForward && r.net.Quiescent() {
-			target := until - 1
-			if r.idx < len(r.events) && r.events[r.idx].Cycle < target {
-				target = r.events[r.idx].Cycle
-			}
-			if s := r.sc.snapEvery; s > 0 {
-				if b := r.net.Cycle() - r.net.Cycle()%s + s - 1; b < target {
-					target = b
-				}
-			}
-			r.net.FastForwardTo(target)
-		}
 		for r.idx < len(r.events) && r.events[r.idx].Cycle <= r.net.Cycle() {
 			e := r.events[r.idx]
 			if _, err := r.net.NewDataPacket(e.Src, e.Dst, e.Flits, r.net.Cycle()); err != nil {
@@ -403,10 +349,9 @@ func (r *benchRun) measure() (SchemeBench, error) {
 		WallSeconds:    wall,
 		AllocsPerCycle: float64(after.Mallocs-before.Mallocs) / float64(r.cycles),
 		BytesPerCycle:  float64(after.TotalAlloc-before.TotalAlloc) / float64(r.cycles),
-		StepWorkers:     r.sc.stepWorkers,
-		MinSpeedup:      r.sc.minSpeedup,
-		MinCyclesPerSec: r.sc.minCyclesPerSec,
-		AllocCeiling:    r.sc.allocCeiling,
+		StepWorkers:    r.sc.stepWorkers,
+		MinSpeedup:     r.sc.minSpeedup,
+		AllocCeiling:   r.sc.allocCeiling,
 	}
 	if wall > 0 {
 		b.CyclesPerSec = float64(r.cycles) / wall
@@ -514,23 +459,6 @@ func annotateSpeedup(benches []SchemeBench) {
 			benches[i].SpeedupVsW1 = benches[i].RouterCyclesPerSec / b
 		}
 	}
-	// Fast-forward scenarios record their win over the per-cycle twin of
-	// the same workload (idle-ff vs idle, lowload-ff vs lowload).
-	perCycle := make(map[string]float64)
-	for _, b := range benches {
-		if !strings.HasSuffix(b.Scheme, "-ff") {
-			perCycle[b.Scheme] = b.CyclesPerSec
-		}
-	}
-	for i := range benches {
-		name := benches[i].Scheme
-		if !strings.HasSuffix(name, "-ff") {
-			continue
-		}
-		if ref := perCycle[strings.TrimSuffix(name, "-ff")]; ref > 0 {
-			benches[i].SpeedupVsPerCycle = benches[i].CyclesPerSec / ref
-		}
-	}
 }
 
 // benchFamily strips a scenario name's "-wN" worker suffix, grouping the
@@ -563,9 +491,6 @@ func runBenchBaseline(cfg rlnoc.Config, path string, cycles int64, filter []stri
 		if b.SpeedupVsW1 > 0 {
 			extra = fmt.Sprintf("  %.2fx vs workers=1", b.SpeedupVsW1)
 		}
-		if b.SpeedupVsPerCycle > 0 {
-			extra += fmt.Sprintf("  %.1fx vs per-cycle", b.SpeedupVsPerCycle)
-		}
 		fmt.Printf("%-14s %12.0f router-cycles/s  %6.2f allocs/cycle  %8.1f B/cycle%s\n",
 			b.Scheme, b.RouterCyclesPerSec, b.AllocsPerCycle, b.BytesPerCycle, extra)
 	}
@@ -594,10 +519,7 @@ func runBenchBaseline(cfg rlnoc.Config, path string, cycles int64, filter []stri
 //     misses it on a host with at least StepWorkers CPUs. On a starved
 //     host the speedup criterion prints a skip — the ratio would measure
 //     the scheduler, not the code — but the relative-speed check still
-//     applies. Scenarios carrying a min_cycles_per_sec floor (the
-//     fast-forward brackets) must also clear that absolute cycles/s bar:
-//     it catches a silently disabled event-horizon jump, which the
-//     relative check would miss if the baseline were regenerated.
+//     applies.
 //   - "all": both.
 func runBenchCompare(cfg rlnoc.Config, path string, cycles int64, gate string, filter []string, prof benchProfiles) error {
 	switch gate {
@@ -621,13 +543,9 @@ func runBenchCompare(cfg rlnoc.Config, path string, cycles int64, gate string, f
 	if err != nil {
 		return err
 	}
-	var allocRegressed, speedRegressed, speedupMissed, floorMissed []string
+	var allocRegressed, speedRegressed, speedupMissed []string
 	fmt.Printf("comparing against %s (generated %s, %s)\n", path, base.GeneratedAt, base.GoVersion)
 	for _, now := range benches {
-		if now.MinCyclesPerSec > 0 && now.CyclesPerSec < now.MinCyclesPerSec {
-			floorMissed = append(floorMissed, fmt.Sprintf("%s (%.3g < %.3g cycles/s)",
-				now.Scheme, now.CyclesPerSec, now.MinCyclesPerSec))
-		}
 		old, ok := byScheme[now.Scheme]
 		if !ok {
 			fmt.Printf("%-14s not in baseline: %6.2f allocs/cycle, %12.0f router-cycles/s\n",
@@ -641,9 +559,6 @@ func runBenchCompare(cfg rlnoc.Config, path string, cycles int64, gate string, f
 		extra := ""
 		if now.SpeedupVsW1 > 0 {
 			extra = fmt.Sprintf("   speedup_vs_workers1 %.2fx", now.SpeedupVsW1)
-		}
-		if now.SpeedupVsPerCycle > 0 {
-			extra += fmt.Sprintf("   speedup_vs_percycle %.1fx", now.SpeedupVsPerCycle)
 		}
 		fmt.Printf("%-14s allocs/cycle %6.2f -> %6.2f   router-cycles/s %+.1f%%%s\n",
 			now.Scheme, old.AllocsPerCycle, now.AllocsPerCycle, speed*100, extra)
@@ -673,9 +588,6 @@ func runBenchCompare(cfg rlnoc.Config, path string, cycles int64, gate string, f
 		}
 		if len(speedupMissed) > 0 {
 			return fmt.Errorf("bench-compare: speedup_vs_workers1 below floor: %v", speedupMissed)
-		}
-		if len(floorMissed) > 0 {
-			return fmt.Errorf("bench-compare: cycles/s below hard floor: %v", floorMissed)
 		}
 	}
 	return nil

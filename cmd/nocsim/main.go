@@ -60,7 +60,6 @@ func run() error {
 		snapEvery  = flag.Int64("snapshot-every", 0, "write a checkpoint every N cycles of the measured phase (0 = off)")
 		snapDir    = flag.String("snapshot-dir", "", "checkpoint directory (default: RLNOC_SNAPSHOT_DIR env, else 'snapshots')")
 		restore    = flag.String("restore", "", "resume from a checkpoint file and finish the run (ignores workload flags)")
-		fastFwd    = flag.Bool("fast-forward", true, "jump quiescent idle spans to the next event (bit-identical; false steps every cycle)")
 		progress   = flag.Duration("progress", 0, "print progress to stderr at this wall-clock interval, e.g. 5s (0 = off)")
 	)
 	flag.Parse()
@@ -134,7 +133,6 @@ func run() error {
 			return err
 		}
 	}
-	cfg.NoFastForward = !*fastFwd
 	scheme, err := core.ParseScheme(*schemeFlag)
 	if err != nil {
 		return err
@@ -266,13 +264,9 @@ func run() error {
 	return nil
 }
 
-// runRestore resumes a checkpoint written by -snapshot-every: the file
-// carries config, scheme, trace and complete state, so only host-local
-// knobs (-step-workers — bit-identical by construction) still apply.
 // attachProgress wires a stderr progress reporter onto the simulation's
-// cycle loops. The reported cycle is the simulated-cycle counter —
-// fast-forwarded spans count like stepped ones — so the derived
-// cycles/s figure stays meaningful whichever path the loop takes.
+// cycle loops. The reported cycle is the simulated-cycle counter, from
+// which the derived cycles/s figure is computed.
 func attachProgress(sim *core.Sim, every time.Duration) {
 	start := time.Now()
 	lastT, lastC := start, sim.Network().Cycle()
@@ -285,6 +279,9 @@ func attachProgress(sim *core.Sim, every time.Duration) {
 	})
 }
 
+// runRestore resumes a checkpoint written by -snapshot-every: the file
+// carries config, scheme, trace and complete state, so only host-local
+// knobs (-step-workers — bit-identical by construction) still apply.
 func runRestore(path string, stepW int, verbose bool, progress time.Duration) error {
 	f, err := os.Open(path)
 	if err != nil {

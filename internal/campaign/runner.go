@@ -248,10 +248,9 @@ func (e *Engine) openSim(spec Spec, dir string) (sim *core.Sim, resumed bool, er
 	return s, false, nil
 }
 
-// armInjection installs the induced-failure observer. Observers are
-// observational (fast-forward treats their boundaries as jump targets
-// without touching state), so an armed injection that never fires
-// leaves the run byte-identical to an unobserved one. The injected
+// armInjection installs the induced-failure observer. Observers read
+// simulation state and never write it, so an armed injection that never
+// fires leaves the run byte-identical to an unobserved one. The injected
 // stall blocks inside the observer until an abort lands — exactly the
 // shape of a wedged run from the watchdog's point of view — while
 // staying responsive to shutdown.

@@ -14,11 +14,6 @@ import (
 	"rlnoc/internal/traffic"
 )
 
-// topologyOf builds the fabric described by a config.
-func topologyOf(cfg config.Config) (topology.Topology, error) {
-	return topology.FromConfig(cfg)
-}
-
 // pretrainSegments are the synthetic traffic phases of the pre-training
 // program. Mixing rates and patterns sweeps the controllers through cool
 // and hot, quiet and congested operating points so the learned policy
@@ -109,10 +104,9 @@ type Sim struct {
 	abortp atomic.Pointer[AbortError]
 
 	// Progress reporting (nocsim -progress): progFn receives the current
-	// simulated cycle — the network cycle counter, which fast-forward
-	// advances across skipped spans, so derived cycles/s stays meaningful
-	// — at wall-clock intervals of at least progEvery. The tick counter
-	// keeps the common path to one increment and mask per iteration.
+	// simulated cycle (the network cycle counter) at wall-clock intervals
+	// of at least progEvery. The tick counter keeps the common path to
+	// one increment and mask per iteration.
 	progEvery time.Duration
 	progFn    func(cycle int64)
 	progTick  int
@@ -140,8 +134,7 @@ func (s *Sim) SetObserver(every int64, fn func(Snapshot)) {
 
 // SetProgress registers fn to be called with the current simulated cycle
 // at wall-clock intervals of roughly `every` during the pre-training and
-// measurement loops. The reported cycle is the network's cycle counter,
-// which counts fast-forwarded spans like stepped ones.
+// measurement loops. The reported cycle is the network's cycle counter.
 func (s *Sim) SetProgress(every time.Duration, fn func(cycle int64)) {
 	s.progEvery = every
 	s.progFn = fn
@@ -212,18 +205,6 @@ func (s *Sim) pollControl() error {
 		}
 	}
 	return nil
-}
-
-// fastForward reports whether the cycle loops may jump quiescent spans
-// (DESIGN.md §16). On by default; config.NoFastForward pins per-cycle
-// stepping (the referee for TestFastForwardMatchesPerCycle).
-func (s *Sim) fastForward() bool { return !s.cfg.NoFastForward }
-
-// nextMultiple returns the smallest multiple of period strictly greater
-// than cycle — the caller-side boundary arithmetic mirroring the
-// network's internal event horizon.
-func nextMultiple(cycle, period int64) int64 {
-	return cycle - cycle%period + period
 }
 
 func (s *Sim) snapshot() Snapshot {
@@ -375,26 +356,6 @@ func (in *injector) step(net *network.Network, now int64) error {
 
 func (in *injector) done() bool { return in.remaining == 0 }
 
-// nextEventCycle returns the absolute cycle of the earliest pending
-// event across all sources, and whether any remain — the injector's
-// contribution to the fast-forward event horizon. A head event held by
-// source-window back-pressure reports its (past) original cycle, which
-// simply yields a no-op jump; back-pressure cannot hold events while
-// the network is quiescent, because outstanding packets imply flits in
-// flight.
-func (in *injector) nextEventCycle() (int64, bool) {
-	var best int64
-	ok := false
-	for src, q := range in.queues {
-		if h := in.heads[src]; h < len(q) {
-			if c := in.base + q[h].Cycle; !ok || c < best {
-				best, ok = c, true
-			}
-		}
-	}
-	return best, ok
-}
-
 // runTrace injects events (whose cycles are relative to the current
 // network cycle) and steps until everything drains or the relative cycle
 // cap passes. Hitting the cap is not an error — the pre-training phase is
@@ -405,26 +366,7 @@ func (s *Sim) runTrace(events []traffic.Event, relCap int64) error {
 	base := s.net.Cycle()
 	capCycle := base + relCap
 	in := newInjector(events, s.cfg.Routers(), s.cfg.SourceWindow, base)
-	ff := s.fastForward()
 	for s.net.Cycle() < capCycle {
-		// Fast-forward: with events still pending and the network
-		// quiescent, jump to the next injection (or the cap), clamped by
-		// the network to its own internal event horizon. Gated on
-		// !in.done() so the empty-trace case steps once exactly like the
-		// per-cycle loop. Cycles skipped here would each have mutated
-		// only the cycle counter (DESIGN.md §16).
-		if ff && !in.done() && s.net.Quiescent() {
-			target := capCycle
-			if nc, ok := in.nextEventCycle(); ok && nc < target {
-				target = nc
-			}
-			if s.net.FastForwardTo(target) >= capCycle {
-				// Jumped to the cap: exit exactly as the per-cycle loop
-				// does on reaching it, without injecting events due at
-				// the cap itself.
-				break
-			}
-		}
 		if err := in.step(s.net, s.net.Cycle()); err != nil {
 			return err
 		}
@@ -503,43 +445,8 @@ func (s *Sim) ResumeMeasure() (Result, error) {
 // no simulation state.
 func (s *Sim) runMeasure() (Result, error) {
 	net, ms := s.net, s.ms
-	ff := s.fastForward()
 	for net.Cycle() < ms.capCycle {
 		now := net.Cycle()
-		// Fast-forward (DESIGN.md §16): with events pending and the
-		// network quiescent, jump to the earliest cycle anything can
-		// happen — the next injection, the warm-up edge (so the meter
-		// baselines are captured on the same cycle as per-cycle
-		// stepping), the next observer or snapshot boundary (stopping
-		// one cycle short so the boundary is reached through a normal
-		// Step and the hook fires on the exact cycle), or the cap. The
-		// network clamps the jump to its own internal horizon (thermal,
-		// control epoch, invariant census, pending hard faults).
-		if ff && !ms.in.done() && net.Quiescent() {
-			target := ms.capCycle
-			if nc, ok := ms.in.nextEventCycle(); ok && nc < target {
-				target = nc
-			}
-			if !ms.started && ms.warmEnd < target {
-				target = ms.warmEnd
-			}
-			if s.observer != nil && s.observerEvery > 0 {
-				if b := nextMultiple(now, s.observerEvery) - 1; b < target {
-					target = b
-				}
-			}
-			if s.snapEvery > 0 {
-				if b := ms.base + nextMultiple(now-ms.base, s.snapEvery) - 1; b < target {
-					target = b
-				}
-			}
-			if net.FastForwardTo(target) >= ms.capCycle {
-				// Jumped to the cap: exit exactly as the per-cycle loop
-				// does, without injecting events due at the cap itself.
-				break
-			}
-			now = net.Cycle()
-		}
 		if !ms.started && now >= ms.warmEnd {
 			net.Stats().SetMeasuring(true)
 			ms.dynStart = net.Meter().TotalDynamicPJ()
@@ -644,7 +551,7 @@ func benchmarkTrace(cfg config.Config, benchmark string) ([]traffic.Event, error
 	if err != nil {
 		return nil, err
 	}
-	topo, err := topologyOf(cfg)
+	topo, err := topology.FromConfig(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
 )
 
@@ -20,7 +21,7 @@ func quickConfig() config.Config {
 
 func quickTrace(t *testing.T, cfg config.Config) []traffic.Event {
 	t.Helper()
-	mesh, err := topologyOf(cfg)
+	mesh, err := topology.FromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

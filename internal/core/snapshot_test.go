@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
 )
 
@@ -41,7 +42,7 @@ func snapConfig(topo string) config.Config {
 
 func snapTrace(t *testing.T, cfg config.Config) []traffic.Event {
 	t.Helper()
-	topo, err := topologyOf(cfg)
+	topo, err := topology.FromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if qroute {
 			scheme = SchemeQRoute
 		}
-		topo, err := topologyOf(cfg)
+		topo, err := topology.FromConfig(cfg)
 		if err != nil {
 			t.Skip()
 		}

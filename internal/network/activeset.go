@@ -41,9 +41,8 @@ func (s *activeSet) addAll(n int) {
 	}
 }
 
-// empty reports whether the set has no members. The fast-forward gate
-// polls this once per quiescent cycle-loop iteration, so it is a plain
-// word scan with no allocation.
+// empty reports whether the set has no members (Quiescent's test): a
+// plain word scan with no allocation.
 func (s *activeSet) empty() bool {
 	for _, w := range s.words {
 		if w != 0 {

@@ -212,13 +212,16 @@ func TestCheckedStepSurfacesTypedError(t *testing.T) {
 	assertDump(t, ierr)
 }
 
-// TestUncheckedConfigSkipsProbes pins that the default configuration
-// runs with every probe off (the zero-cost contract's policy side).
+// TestUncheckedConfigSkipsProbes pins that a configuration with checks
+// off runs with every probe off (the zero-cost contract's policy side).
+// Checks is set explicitly so an RLNOC_CHECKS environment, which only
+// fills an empty field, cannot arm them.
 func TestUncheckedConfigSkipsProbes(t *testing.T) {
 	cfg := testConfig(0)
+	cfg.Checks = "off"
 	n := newNet(t, cfg, Mode1, true)
 	if n.Checks().Enabled() {
-		t.Fatalf("default config has checks on: %+v", n.Checks())
+		t.Fatalf("checks=off config has checks on: %+v", n.Checks())
 	}
 	// A blatant imbalance must go unreported when checks are off: Step
 	// never consults the probes (runChecks is unreachable).

@@ -1,6 +1,8 @@
 package network
 
-// Event-horizon fast-forward (DESIGN.md §16).
+// Event-horizon fast-forward (DESIGN.md §16): a primitive whose only
+// caller is the loaded-fabric benchmark's own cycle loop. The simulator's
+// cycle loops (internal/core) step every cycle and do not use it.
 //
 // A Step on a quiescent network — all three active sets empty and no
 // flit in flight — mutates exactly one piece of state: the cycle
@@ -22,9 +24,8 @@ package network
 // which a Step would have done non-idle work is skipped. Those cycles
 // are exactly the internal-event horizon computed below (thermal and
 // control-epoch boundaries, invariant census boundaries, pending hard
-// faults) plus the caller-side horizon (next injection, warm-up edge,
-// observer/snapshot boundaries, cycle cap), which the core loop folds
-// in before calling FastForwardTo.
+// faults) plus the caller-side horizon (next injection, cycle cap),
+// which the caller folds in before calling FastForwardTo.
 
 // Quiescent reports whether a Step would change no state other than
 // the cycle counter: nothing in flight and every active set empty.

@@ -561,9 +561,9 @@ func (n *Network) applyMode(id int, m Mode) {
 	// A still-pending switch must be retried by the SA stage each cycle
 	// until the channel drains, so such routers are marked. When every
 	// port switched (or kept its mode) the scan would be a no-op; not
-	// marking then keeps an idle fabric quiescent across control epochs,
-	// which is what lets fast-forward jump them and the lazy
-	// error-probability materialization stay deferred.
+	// marking then keeps an idle fabric's active sets empty across
+	// control epochs, so its Steps stay cheap and the lazy
+	// error-probability materialization stays deferred.
 	if pending {
 		n.markPipe(id)
 	}
@@ -631,7 +631,7 @@ func (n *Network) eccFraction(id int) float64 {
 // grid, which only moves at these same boundaries — and marks the cached
 // probabilities stale. The expensive Pow/Erf kernel runs later, in
 // materializeErrorProbs, and only if something can actually consume a
-// probability: on a quiescent fabric whole windows come and go without a
+// probability: on an idle fabric whole windows come and go without a
 // single flit crossing a link, and those windows' probabilities were
 // never observable.
 func (n *Network) captureErrorInputs() {

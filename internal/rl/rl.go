@@ -343,9 +343,3 @@ func (a *Agent) Load(r io.Reader) error {
 	}
 	return nil
 }
-
-// CopyPolicyFrom copies another agent's Q-table (used to clone pretrained
-// policies across routers or runs).
-func (a *Agent) CopyPolicyFrom(src *Agent) {
-	copy(a.q, src.q)
-}

@@ -290,20 +290,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCopyPolicyFrom(t *testing.T) {
-	a := newAgent(10)
-	a.q[42] = 3.14
-	b := newAgent(11)
-	b.CopyPolicyFrom(a)
-	if b.q[42] != 3.14 {
-		t.Fatal("CopyPolicyFrom did not copy")
-	}
-	b.q[42] = 0
-	if a.q[42] != 3.14 {
-		t.Fatal("CopyPolicyFrom aliased the table")
-	}
-}
-
 func TestAgentsDeterministicPerSeed(t *testing.T) {
 	runSeq := func(seed int64) []int {
 		a := NewAgent(config.Default().RL, seed)

@@ -329,20 +329,3 @@ func StdDev(xs []float64) float64 {
 	}
 	return math.Sqrt(sum / float64(len(xs)-1))
 }
-
-// GeoMean returns the geometric mean of positive xs; zero/negative inputs
-// are skipped.
-func GeoMean(xs []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			logSum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}
