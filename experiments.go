@@ -41,10 +41,12 @@ func RunSuite(cfg Config, benchmarks []string) (*Suite, error) {
 
 // runSuite runs every scheme over every benchmark on a fixed pool of
 // suiteWorkers(cfg) goroutines. Each scheme pre-trains once, on its
-// first job; every job then measures its benchmark on a fork of that
-// state, byte-identical to a fresh Run (TestSuiteForkMatchesFresh).
-// Workers take jobs in list order, benchmark-major, so the first jobs
-// pre-train different schemes in parallel.
+// first job, and each benchmark's trace is synthesized once, on its
+// first job; every job then measures the shared trace on a fork of its
+// scheme's state, byte-identical to a fresh Run
+// (TestSuiteForkMatchesFresh). Workers take jobs in list order,
+// benchmark-major, so the first jobs pre-train different schemes in
+// parallel.
 func runSuite(cfg Config, benchmarks []string, schemes []Scheme) (*Suite, error) {
 	if len(benchmarks) == 0 {
 		benchmarks = Benchmarks()
@@ -52,6 +54,10 @@ func runSuite(cfg Config, benchmarks []string, schemes []Scheme) (*Suite, error)
 	bases := make(map[Scheme]func() (*core.Pretrained, error), len(schemes))
 	for _, sc := range schemes {
 		bases[sc] = sync.OnceValues(func() (*core.Pretrained, error) { return core.NewPretrained(cfg, sc) })
+	}
+	traces := make(map[string]func() ([]Event, error), len(benchmarks))
+	for _, b := range benchmarks {
+		traces[b] = sync.OnceValues(func() ([]Event, error) { return core.BenchmarkTrace(cfg, b) })
 	}
 	type job struct {
 		bench  string
@@ -77,8 +83,12 @@ func runSuite(cfg Config, benchmarks []string, schemes []Scheme) (*Suite, error)
 					return
 				}
 				base, err := bases[jobs[i].scheme]()
+				var events []Event
 				if err == nil {
-					results[i], err = base.RunBenchmark(jobs[i].bench)
+					events, err = traces[jobs[i].bench]()
+				}
+				if err == nil {
+					results[i], err = base.Measure(events, jobs[i].bench)
 				}
 				errs[i] = err
 			}

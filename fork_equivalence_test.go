@@ -5,7 +5,9 @@ package rlnoc
 // pretrained state. That is sound only because pre-training depends on
 // nothing but (config, scheme): each forked cell must encode to the same
 // bytes as a fresh Run, which pre-trains from scratch. Two benchmarks per
-// base also prove that forking does not mutate the shared state.
+// base also prove that forking does not mutate the shared state, and
+// five schemes per benchmark that measuring does not mutate the shared
+// trace.
 
 import "testing"
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -219,6 +220,67 @@ func TestCorruptCheckpointQuarantine(t *testing.T) {
 	}
 	if _, err := os.Stat(bogus); !os.IsNotExist(err) {
 		t.Errorf("corrupt checkpoint still present under its original name")
+	}
+}
+
+// TestOldVersionCheckpointQuarantine plants a job's real checkpoints
+// with their version word rewritten to 1, the format before slices were
+// run-coded: the engine must quarantine every one and rerun the job from
+// cycle 0 to the Result of a fresh run.
+func TestOldVersionCheckpointQuarantine(t *testing.T) {
+	spec := tinySpec("elder", 0)
+	spec.SnapshotEvery = 100
+	fresh := openTestEngine(t, Options{Workers: 1})
+	if err := fresh.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Results()[0]
+	snaps, err := core.ListSnapshots(fresh.jobDir(spec.ID))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("fresh run left no checkpoints (%v)", err)
+	}
+
+	eng := openTestEngine(t, Options{Workers: 1})
+	jobDir := eng.jobDir(spec.ID)
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var planted []string
+	for _, path := range snaps {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[4:8], 1)
+		old := filepath.Join(jobDir, filepath.Base(path))
+		if err := os.WriteFile(old, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		planted = append(planted, old)
+	}
+	if err := eng.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got := eng.Results()[0]
+	if got.Recovered {
+		t.Error("job resumed from a version-1 checkpoint")
+	}
+	for _, old := range planted {
+		if _, err := os.Stat(old + ".corrupt"); err != nil {
+			t.Errorf("version-1 checkpoint not quarantined: %v", err)
+		}
+	}
+	if got.Outcome != want.Outcome || got.Detail != want.Detail {
+		t.Errorf("outcome %s (%s), fresh run %s (%s)", got.Outcome, got.Detail, want.Outcome, want.Detail)
+	}
+	if g, w := resultJSON(t, got.Result), resultJSON(t, want.Result); g != w {
+		t.Errorf("Result after quarantine differs from a fresh run\n got: %s\nwant: %s", g, w)
 	}
 }
 

@@ -544,9 +544,9 @@ func RunTrace(cfg config.Config, scheme Scheme, events []traffic.Event, label st
 	return sim.Measure(events, label)
 }
 
-// benchmarkTrace synthesizes the named PARSEC-like benchmark's test
+// BenchmarkTrace synthesizes the named PARSEC-like benchmark's test
 // trace for a config.
-func benchmarkTrace(cfg config.Config, benchmark string) ([]traffic.Event, error) {
+func BenchmarkTrace(cfg config.Config, benchmark string) ([]traffic.Event, error) {
 	b, err := traffic.BenchmarkByName(benchmark)
 	if err != nil {
 		return nil, err
@@ -561,7 +561,7 @@ func benchmarkTrace(cfg config.Config, benchmark string) ([]traffic.Event, error
 // RunBenchmark synthesizes the named PARSEC-like benchmark's trace and
 // runs it under a scheme.
 func RunBenchmark(cfg config.Config, scheme Scheme, benchmark string) (Result, error) {
-	events, err := benchmarkTrace(cfg, benchmark)
+	events, err := BenchmarkTrace(cfg, benchmark)
 	if err != nil {
 		return Result{}, err
 	}
@@ -574,7 +574,6 @@ func RunBenchmark(cfg config.Config, scheme Scheme, benchmark string) (Result, e
 // Pretrained instead of repeating the phase. The bytes are only read, so
 // concurrent forks are safe.
 type Pretrained struct {
-	cfg   config.Config
 	state []byte
 }
 
@@ -592,21 +591,17 @@ func NewPretrained(cfg config.Config, scheme Scheme) (*Pretrained, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pretrained{cfg: cfg, state: state}, nil
+	return &Pretrained{state: state}, nil
 }
 
-// RunBenchmark measures the named benchmark on a fork: a Sim restored
-// from the pretrained state. Its Result is byte-identical to
-// RunBenchmark's with the same config and scheme.
-func (p *Pretrained) RunBenchmark(benchmark string) (Result, error) {
-	events, err := benchmarkTrace(p.cfg, benchmark)
-	if err != nil {
-		return Result{}, err
-	}
+// Measure measures events on a fork: a Sim restored from the pretrained
+// state. Its Result is byte-identical to RunTrace's with the same config,
+// scheme, events and label. events is only read, so forks may share it.
+func (p *Pretrained) Measure(events []traffic.Event, label string) (Result, error) {
 	sim, err := RestoreSim(bytes.NewReader(p.state))
 	if err != nil {
 		return Result{}, err
 	}
 	defer sim.Close()
-	return sim.Measure(events, benchmark)
+	return sim.Measure(events, label)
 }

@@ -65,6 +65,15 @@ func newFaultedQRouteNet(t *testing.T, kills [][2]int) *Network {
 	return n
 }
 
+// qrouteSurvivingDist reads the stored surviving-hop distance from v to
+// dst (-1 when unreachable or qroute is off).
+func qrouteSurvivingDist(n *Network, v, dst int) int {
+	if n.qr == nil {
+		return -1
+	}
+	return int(n.qr.dist[dst*n.qr.nodes+v])
+}
+
 // surviveDist is the test's independent referee: plain BFS over the
 // surviving fabric (an edge u->v through direction d survives iff u's
 // output port d is alive), computed without touching qrouteState.
@@ -110,7 +119,7 @@ func checkMaskInvariants(t *testing.T, n *Network) int {
 				}
 				continue
 			}
-			if got := n.QRouteSurvivingDist(here, dst); got != ref[here] {
+			if got := qrouteSurvivingDist(n, here, dst); got != ref[here] {
 				t.Fatalf("stored dist(%d->%d)=%d, referee BFS says %d", here, dst, got, ref[here])
 			}
 			if mask != 0 {

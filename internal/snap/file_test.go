@@ -117,7 +117,7 @@ func TestTruncatedSnapshotIsCorrupt(t *testing.T) {
 
 // TestBitFlippedSnapshotIsCorrupt flips bits in the structural regions
 // a reader always verifies — magic, version, section tags, length
-// prefixes — and checks each produces a typed CorruptError. (A flip in
+// prefixes, run headers — and checks each produces a typed CorruptError. (A flip in
 // free-form payload bytes is undetectable by the framing layer alone;
 // the simulator's structural LenCheck guards and section tags bound how
 // far a misread can propagate.)
@@ -132,9 +132,10 @@ func TestBitFlippedSnapshotIsCorrupt(t *testing.T) {
 	}
 	full := buf.Bytes()
 	// Offsets: magic(0..3), version(4..7), "DEMO" tag(8..11), the
-	// I64s length prefix(12..15), and the "TAIL" tag that follows the
-	// four 8-byte values (16 + 32 .. +3).
-	offsets := []int{0, 4, 8, 12, 16 + 32}
+	// I64s length prefix(12..15), its one run header — zero count
+	// (16..19) and literal count (20..23) — and the "TAIL" tag that
+	// follows the four 8-byte literals (24 + 32 .. +3).
+	offsets := []int{0, 4, 8, 12, 16, 20, 24 + 32}
 	for _, off := range offsets {
 		for bit := 0; bit < 8; bit++ {
 			data := append([]byte(nil), full...)

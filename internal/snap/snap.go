@@ -7,9 +7,11 @@
 // Format discipline (DESIGN.md §15): every value is written in a fixed,
 // canonical order — maps are iterated in sorted key order by the caller,
 // floats are written as their IEEE-754 bit patterns, and slices are
-// length-prefixed. Two snapshots of identical simulator states are
-// therefore byte-identical, which is what lets tests compare snapshots
-// directly instead of walking live state.
+// length-prefixed. Numeric slices are then coded as runs of zero and
+// literal words (see putWords): the controller's Q-tables, most of a
+// checkpoint, are mostly never-visited zeros. Two snapshots of identical
+// simulator states are therefore byte-identical, which is what lets
+// tests compare snapshots directly instead of walking live state.
 //
 // Section tags ("NETW", "STAT", ...) are 4-byte markers written between
 // subsystems. They carry no data; a reader that drifts out of sync with
@@ -25,6 +27,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"unsafe"
 )
 
 // Magic identifies an rlnoc snapshot stream ("RLNS" little-endian).
@@ -34,7 +37,7 @@ const Magic uint32 = 0x534E4C52
 // other version: the format captures unexported simulator state, so
 // cross-version compatibility is explicitly out of scope — a snapshot is
 // resumable by the binary (or a behavior-identical build) that wrote it.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // Snapshotter is implemented by every stateful subsystem. SnapState
 // serializes the subsystem's mutable state; SnapRestore overwrites the
@@ -169,43 +172,86 @@ func (w *Writer) String(s string) {
 	w.write([]byte(s))
 }
 
-// I64s writes a length-prefixed []int64.
-func (w *Writer) I64s(v []int64) {
+// I64s writes a length-prefixed []int64 as word runs.
+func (w *Writer) I64s(v []int64) { putWords(w, v, 8) }
+
+// F64s writes a length-prefixed []float64 as runs of IEEE-754 bit
+// patterns: -0.0 and NaN payloads are literals and round-trip exactly.
+func (w *Writer) F64s(v []float64) { putWords(w, float64Bits(v), 8) }
+
+// U64s writes a length-prefixed []uint64 as word runs.
+func (w *Writer) U64s(v []uint64) { putWords(w, v, 8) }
+
+// U32s writes a length-prefixed []uint32 as runs of 4-byte words.
+func (w *Writer) U32s(v []uint32) { putWords(w, v, 4) }
+
+// Ints writes a length-prefixed []int as runs of 64-bit words.
+func (w *Writer) Ints(v []int) { putWords(w, v, 8) }
+
+// word is an element type of a run-coded slice: an integer whose
+// conversion to and from uint64 keeps its bit pattern in the low size
+// bytes. Float slices are coded through float64Bits.
+type word interface {
+	~int64 | ~uint64 | ~int | ~uint32
+}
+
+// float64Bits views v as the []uint64 of its IEEE-754 bit patterns,
+// sharing v's memory: math.Float64bits for a whole slice. The two types
+// have the same size and alignment and hold no pointers.
+func float64Bits(v []float64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
+}
+
+// putWords writes v's length prefix and then v as a sequence of runs,
+// each a U32 count of all-zero words, a U32 count of literal words, and
+// the literals as size-byte little-endian words. Only a zero run of two
+// or more words is split out; a lone zero stays a literal. The rule
+// makes the encoding canonical (equal slices give equal bytes) and
+// bounds growth: every run header after the first is paid for by at
+// least two skipped words, so no slice grows by more than one 8-byte
+// header over its raw size.
+func putWords[T word](w *Writer, v []T, size int) {
 	w.Len(len(v))
-	for _, x := range v {
-		w.I64(x)
+	for len(v) > 0 && w.err == nil {
+		zeros := 0
+		for zeros < len(v) && v[zeros] == 0 {
+			zeros++
+		}
+		if zeros == 1 {
+			zeros = 0
+		}
+		end := zeros
+		for end < len(v) && (v[end] != 0 || end+1 == len(v) || v[end+1] != 0) {
+			end++
+		}
+		w.U32(uint32(zeros))
+		w.U32(uint32(end - zeros))
+		putLiterals(w, v[zeros:end], size)
+		v = v[end:]
 	}
 }
 
-// F64s writes a length-prefixed []float64.
-func (w *Writer) F64s(v []float64) {
-	w.Len(len(v))
-	for _, x := range v {
-		w.F64(x)
-	}
-}
-
-// U64s writes a length-prefixed []uint64.
-func (w *Writer) U64s(v []uint64) {
-	w.Len(len(v))
-	for _, x := range v {
-		w.U64(x)
-	}
-}
-
-// U32s writes a length-prefixed []uint32.
-func (w *Writer) U32s(v []uint32) {
-	w.Len(len(v))
-	for _, x := range v {
-		w.U32(x)
-	}
-}
-
-// Ints writes a length-prefixed []int (as 64-bit values).
-func (w *Writer) Ints(v []int) {
-	w.Len(len(v))
-	for _, x := range v {
-		w.Int(x)
+// putLiterals encodes v straight into the bufio buffer, flushing each
+// time it fills, so a literal run costs no per-word Write call.
+func putLiterals[T word](w *Writer, v []T, size int) {
+	for len(v) > 0 && w.err == nil {
+		buf := w.w.AvailableBuffer()
+		k := min(len(v), cap(buf)/size)
+		if k == 0 {
+			w.err = w.w.Flush()
+			continue
+		}
+		if size == 8 {
+			for _, x := range v[:k] {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+			}
+		} else {
+			for _, x := range v[:k] {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+			}
+		}
+		w.write(buf)
+		v = v[k:]
 	}
 }
 
@@ -264,7 +310,7 @@ func (r *Reader) read(p []byte) bool {
 		return false
 	}
 	if _, err := io.ReadFull(r.r, p); err != nil {
-		r.fail(err)
+		r.fail(unexpectedEOF(err))
 		return false
 	}
 	return true
@@ -369,41 +415,31 @@ func (r *Reader) String() string { return string(r.Bytes()) }
 // I64sInto reads a []int64 written by I64s into dst (length must match).
 func (r *Reader) I64sInto(dst []int64) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.I64()
-	}
+	getWords(r, dst, 8)
 }
 
 // F64sInto reads a []float64 written by F64s into dst (length must match).
 func (r *Reader) F64sInto(dst []float64) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.F64()
-	}
+	getWords(r, float64Bits(dst), 8)
 }
 
 // U64sInto reads a []uint64 written by U64s into dst (length must match).
 func (r *Reader) U64sInto(dst []uint64) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.U64()
-	}
+	getWords(r, dst, 8)
 }
 
 // U32sInto reads a []uint32 written by U32s into dst (length must match).
 func (r *Reader) U32sInto(dst []uint32) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.U32()
-	}
+	getWords(r, dst, 4)
 }
 
 // IntsInto reads a []int written by Ints into dst (length must match).
 func (r *Reader) IntsInto(dst []int) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.Int()
-	}
+	getWords(r, dst, 8)
 }
 
 // BoolsInto reads a []bool written by Bools into dst (length must match).
@@ -416,41 +452,83 @@ func (r *Reader) BoolsInto(dst []bool) {
 
 // Ints reads a []int with a caller-chosen length (variable-size queues).
 func (r *Reader) Ints() []int {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = r.Int()
-	}
+	v := makeLen[int](r)
+	getWords(r, v, 8)
 	return v
 }
 
 // F64s reads a []float64 with a variable length.
 func (r *Reader) F64s() []float64 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.F64()
-	}
+	v := makeLen[float64](r)
+	getWords(r, float64Bits(v), 8)
 	return v
 }
 
 // U64s reads a []uint64 with a variable length.
 func (r *Reader) U64s() []uint64 {
+	v := makeLen[uint64](r)
+	getWords(r, v, 8)
+	return v
+}
+
+// makeLen reads a length prefix and allocates a slice that long (nil
+// when empty or on error).
+func makeLen[T any](r *Reader) []T {
 	n := r.Len()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = r.U64()
+	return make([]T, n)
+}
+
+// getWords fills dst from the runs putWords wrote after the length
+// prefix. Zero runs are cleared in place and literal runs decoded
+// straight out of the bufio buffer (Peek/Discard), so a read needs no
+// scratch space. A run that covers no words or more words than are
+// left is corrupt, as is a stream that ends inside a run.
+func getWords[T word](r *Reader, dst []T, size int) {
+	for len(dst) > 0 && r.err == nil {
+		if !r.read(r.buf[:8]) {
+			return
+		}
+		zeros := uint64(binary.LittleEndian.Uint32(r.buf[:4]))
+		lits := uint64(binary.LittleEndian.Uint32(r.buf[4:]))
+		if zeros+lits == 0 || zeros+lits > uint64(len(dst)) {
+			r.fail(fmt.Errorf("snap: run of %d zero + %d literal words, %d left", zeros, lits, len(dst)))
+			return
+		}
+		clear(dst[:zeros])
+		lit := dst[zeros : zeros+lits]
+		dst = dst[zeros+lits:]
+		for len(lit) > 0 {
+			k := min(len(lit), r.r.Size()/size)
+			p, err := r.r.Peek(k * size)
+			if err != nil {
+				r.fail(unexpectedEOF(err))
+				return
+			}
+			if size == 8 {
+				for i := range lit[:k] {
+					lit[i] = T(binary.LittleEndian.Uint64(p[8*i:]))
+				}
+			} else {
+				for i := range lit[:k] {
+					lit[i] = T(binary.LittleEndian.Uint32(p[4*i:]))
+				}
+			}
+			_, _ = r.r.Discard(k * size) // cannot fail: Peek buffered these bytes
+			lit = lit[k:]
+		}
 	}
-	return v
+}
+
+// unexpectedEOF reports an EOF as the truncation it is: every read is
+// of bytes the format says must follow.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // CountingSource is a rand.Source64 that counts draws. The simulator's

@@ -2,8 +2,10 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -173,6 +175,17 @@ func TestHeaderRejects(t *testing.T) {
 	if err := NewReader(bytes.NewReader(buf.Bytes())).Header(); err == nil {
 		t.Error("future version accepted")
 	}
+
+	// An older stream codes its slices differently; reading on would
+	// misparse them, so recovery must see a CorruptError at the header.
+	buf.Reset()
+	w = NewWriter(&buf)
+	w.U32(Magic)
+	w.U32(Version - 1)
+	w.Flush()
+	if err := NewReader(bytes.NewReader(buf.Bytes())).Header(); !IsCorrupt(err) {
+		t.Errorf("older version: error %v, want a CorruptError", err)
+	}
 }
 
 // TestLenCheckMismatch checks the structural-length guard fires when a
@@ -338,5 +351,171 @@ func TestDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(emit(), emit()) {
 		t.Error("identical write sequences produced different bytes")
+	}
+}
+
+// TestWordRunLayout pins the canonical run split: only zero runs of two
+// or more words leave the literal run, wherever they sit.
+func TestWordRunLayout(t *testing.T) {
+	for _, tc := range []struct {
+		in   []uint64
+		want []uint32 // length prefix, then (zeros, literals) per run
+	}{
+		{nil, []uint32{0}},
+		{[]uint64{0}, []uint32{1, 0, 1}},
+		{[]uint64{0, 5}, []uint32{2, 0, 2}},
+		{[]uint64{5, 0}, []uint32{2, 0, 2}},
+		{[]uint64{0, 0}, []uint32{2, 2, 0}},
+		{[]uint64{5, 0, 5}, []uint32{3, 0, 3}},
+		{[]uint64{5, 0, 0, 7}, []uint32{4, 0, 1, 2, 1}},
+		{[]uint64{0, 0, 0, 7, 0, 7, 0, 0}, []uint32{8, 3, 3, 2, 0}},
+	} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.U64s(tc.in)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		enc := buf.Bytes()
+		got := []uint32{binary.LittleEndian.Uint32(enc)}
+		for off := 4; off < len(enc); {
+			zeros, lits := binary.LittleEndian.Uint32(enc[off:]), binary.LittleEndian.Uint32(enc[off+4:])
+			got = append(got, zeros, lits)
+			off += 8 + 8*int(lits)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v: runs %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// FuzzWordRuns drives every numeric slice type through the run codec
+// with words drawn from the fuzz bytes: zeros (in runs of any length),
+// -0.0, NaN payloads and dense values. Each slice must round-trip
+// bit-exactly through its fixed- and (where one exists) variable-length
+// reader, re-encode to the same bytes, stay within one run header of its
+// raw size, and fail as a CorruptError when cut short anywhere or when
+// any run header claims more words than are left.
+func FuzzWordRuns(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 7})
+	f.Add([]byte{3, 7, 11, 15, 19, 23, 27, 31, 35, 39, 43, 47})
+	f.Add([]byte{1, 0, 1, 0, 0, 1, 2, 0, 2, 0, 0, 0, 6})
+	f.Add([]byte{0, 3, 0, 0, 3, 0, 3, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 128 { // every truncation is a read: keep them cheap
+			data = data[:128]
+		}
+		words := make([]uint64, len(data))
+		for i, b := range data {
+			switch b % 4 {
+			case 0: // zero
+			case 1:
+				words[i] = 1 << 63 // -0.0
+			case 2:
+				words[i] = 0x7FF0000000000001 | uint64(b)<<8 // NaN payload
+			case 3:
+				words[i] = uint64(b) * 0x9E3779B97F4A7C15
+			}
+		}
+		i64s := make([]int64, len(words))
+		f64s := make([]float64, len(words))
+		u32s := make([]uint32, len(words))
+		ints := make([]int, len(words))
+		for i, x := range words {
+			i64s[i] = int64(x)
+			f64s[i] = math.Float64frombits(x)
+			u32s[i] = uint32(x) ^ uint32(x>>32)
+			ints[i] = int(x)
+		}
+		checkWordRuns(t, i64s, 8, (*Writer).I64s, (*Reader).I64sInto, nil, func(x int64) uint64 { return uint64(x) })
+		checkWordRuns(t, f64s, 8, (*Writer).F64s, (*Reader).F64sInto, (*Reader).F64s, math.Float64bits)
+		checkWordRuns(t, words, 8, (*Writer).U64s, (*Reader).U64sInto, (*Reader).U64s, func(x uint64) uint64 { return x })
+		checkWordRuns(t, u32s, 4, (*Writer).U32s, (*Reader).U32sInto, nil, func(x uint32) uint64 { return uint64(x) })
+		checkWordRuns(t, ints, 8, (*Writer).Ints, (*Reader).IntsInto, (*Reader).Ints, func(x int) uint64 { return uint64(x) })
+	})
+}
+
+func checkWordRuns[T any](t *testing.T, v []T, size int, put func(*Writer, []T),
+	into func(*Reader, []T), get func(*Reader) []T, bits func(T) uint64) {
+	t.Helper()
+	encode := func(v []T) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		put(w, v)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	enc := encode(v)
+	if max := len(v)*size + 4 + 8; len(enc) > max {
+		t.Fatalf("%d words encode to %d bytes, over the %d-byte bound", len(v), len(enc), max)
+	}
+	same := func(got []T, how string) {
+		t.Helper()
+		if len(got) != len(v) {
+			t.Fatalf("%s: %d words, want %d", how, len(got), len(v))
+		}
+		for i := range v {
+			if bits(got[i]) != bits(v[i]) {
+				t.Fatalf("%s: word %d = %#x, want %#x", how, i, bits(got[i]), bits(v[i]))
+			}
+		}
+	}
+	r := NewReader(bytes.NewReader(enc))
+	got := make([]T, len(v))
+	into(r, got)
+	if err := r.Err(); err != nil {
+		t.Fatalf("intact encoding rejected: %v", err)
+	}
+	if r.U8(); r.Err() == nil {
+		t.Fatal("bytes left over after the slice")
+	}
+	same(got, "fixed-length read")
+	if get != nil {
+		r := NewReader(bytes.NewReader(enc))
+		got := get(r)
+		if err := r.Err(); err != nil {
+			t.Fatalf("variable-length read: %v", err)
+		}
+		same(got, "variable-length read")
+	}
+	if again := encode(append([]T(nil), got...)); !bytes.Equal(again, enc) {
+		t.Fatalf("equal inputs encoded differently:\n%x\n%x", enc, again)
+	}
+
+	for cut := 0; cut < len(enc); cut++ {
+		r := NewReader(bytes.NewReader(enc[:cut]))
+		into(r, make([]T, len(v)))
+		if !IsCorrupt(r.Err()) {
+			t.Fatalf("truncation at %d/%d: error %v, want a CorruptError", cut, len(enc), r.Err())
+		}
+	}
+
+	// Walk the run headers and make each one overrun the words left, by
+	// its zero count and by its literal count in turn, or cover none.
+	left, off := uint32(len(v)), 4
+	for left > 0 {
+		zeros := binary.LittleEndian.Uint32(enc[off:])
+		lits := binary.LittleEndian.Uint32(enc[off+4:])
+		over := left - zeros - lits + 1
+		for _, hdr := range [][2]uint32{{zeros + over, lits}, {zeros, lits + over}, {0, 0}} {
+			bad := append([]byte(nil), enc...)
+			binary.LittleEndian.PutUint32(bad[off:], hdr[0])
+			binary.LittleEndian.PutUint32(bad[off+4:], hdr[1])
+			r := NewReader(bytes.NewReader(bad))
+			into(r, make([]T, len(v)))
+			if !IsCorrupt(r.Err()) {
+				t.Fatalf("run at byte %d rewritten to %d+%d words of %d left: error %v, want a CorruptError",
+					off, hdr[0], hdr[1], left, r.Err())
+			}
+		}
+		left -= zeros + lits
+		off += 8 + int(lits)*size
+	}
+	if off != len(enc) {
+		t.Fatalf("runs end at byte %d of %d", off, len(enc))
 	}
 }
